@@ -144,12 +144,16 @@ serve-bench:
 	$(GO) run ./cmd/xtree-bench -exp e18
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
-# budget on the default-option embed, then the E20 sweep diffed against
-# the committed BENCH_embed.json — any configuration more than 10% over
-# its baseline allocs/op fails.  Refresh the baseline by running
-# `go run ./cmd/xtree-bench -exp e20` and committing the file.
+# budgets on the default-option embed, the closed-form X-tree distance
+# (zero) and a warm n=1008 x-tree /v1/embed through the full handler,
+# then the E20 sweep diffed against the committed BENCH_embed.json — any
+# configuration more than 10% over its baseline allocs/op fails.
+# Refresh the baseline by running `go run ./cmd/xtree-bench -exp e20`
+# and committing the file.
 embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
+	$(GO) test -run TestDistanceZeroAlloc -v ./internal/xtree
+	$(GO) test -run TestWarmEmbedAllocBudget -v ./internal/server
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 
 examples:

@@ -107,6 +107,9 @@ func smokeServePath() error {
 		"xtreesim_http_request_duration_seconds_bucket",
 		"xtreesim_http_shed_total",
 		"xtreesim_engine_cache_misses_total",
+		`xtreesim_embed_dilation_count{host="xtree"} 1`,
+		`xtreesim_bound_violations_total{claim="thm1_dilation"} 0`,
+		`xtreesim_bound_violations_total{claim="thm1_load"} 0`,
 	} {
 		if !strings.Contains(text, want) {
 			return fmt.Errorf("metrics: missing %q", want)

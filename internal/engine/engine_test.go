@@ -206,8 +206,13 @@ func TestDerivedTheorems(t *testing.T) {
 			t.Errorf("item %d: hypercube dilation %d > 4", i, d)
 		}
 	}
-	if !items[1].CacheHit {
-		t.Error("isomorphic derivation did not reuse the cache")
+	// Exactly one compute for the isomorphic pair.  Whether the twin is
+	// answered from the cache or by waiting on the leader's in-flight
+	// compute depends on scheduling when both run at once, so the count
+	// pins the outcome, not the flag.
+	if st := e.Stats(); st.Misses != 1 || st.Hits+st.Coalesced != 1 {
+		t.Errorf("isomorphic pair: %d computes, %d hits, %d coalesced; want exactly 1 compute reused once",
+			st.Misses, st.Hits, st.Coalesced)
 	}
 }
 

@@ -88,6 +88,35 @@ func (e *Embedding) AverageDilation() float64 {
 	return float64(sum) / float64(cnt)
 }
 
+// EdgeStats returns the dilation and the average dilation in one walk
+// over the guest edges: the pair every served embedding reports, at half
+// the distance queries of Dilation plus AverageDilation.
+func (e *Embedding) EdgeStats() (dilation int, avg float64) {
+	sum, edges := 0, 0
+	for v := int32(0); v < int32(e.Guest.N()); v++ {
+		p := e.Guest.Parent(v)
+		if p == bintree.None {
+			continue
+		}
+		d := e.Host.Distance(e.Map[v], e.Map[p])
+		if d > dilation {
+			dilation = d
+		}
+		sum += d
+		edges++
+	}
+	if edges > 0 {
+		avg = float64(sum) / float64(edges)
+	}
+	return dilation, avg
+}
+
+// DilationParallel is Dilation.
+//
+// Deprecated: the closed-form host distances made the goroutine fan-out
+// this used to run slower than one walk; call Dilation or EdgeStats.
+func (e *Embedding) DilationParallel() int { return e.Dilation() }
+
 func (e *Embedding) eachEdge(f func(dist int)) {
 	for v := int32(0); v < int32(e.Guest.N()); v++ {
 		if p := e.Guest.Parent(v); p != bintree.None {
@@ -141,11 +170,12 @@ type Report struct {
 
 // Summarize computes a full report.
 func (e *Embedding) Summarize() Report {
+	dil, avg := e.EdgeStats()
 	return Report{
 		GuestN:    e.Guest.N(),
 		HostN:     e.Host.NumVertices(),
-		Dilation:  e.Dilation(),
-		AvgDil:    e.AverageDilation(),
+		Dilation:  dil,
+		AvgDil:    avg,
 		MaxLoad:   e.MaxLoad(),
 		Expansion: e.Expansion(),
 		Injective: e.IsInjective(),

@@ -1,10 +1,13 @@
 package metrics
 
 import (
+	"math/rand"
 	"testing"
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/graph"
+	"xtreesim/internal/hypercube"
+	"xtreesim/internal/xtree"
 )
 
 // hostPath returns a path host with n vertices.
@@ -125,5 +128,38 @@ func TestEdgeCongestion(t *testing.T) {
 	}
 	if mean != 6.0/4.0 {
 		t.Errorf("mean congestion = %v", mean)
+	}
+}
+
+// TestEdgeStatsMatchesSeparateWalks pins the one-walk EdgeStats to the
+// separate Dilation and AverageDilation walks on every host kind the
+// server reports: x-tree, hypercube, and a materialized graph.
+func TestEdgeStatsMatchesSeparateWalks(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	hosts := []Host{
+		XTreeHost{xtree.New(6)},
+		HypercubeHost{hypercube.New(7)},
+		GraphHost{xtree.New(4).AsGraph()},
+		hostPath(1),
+	}
+	for _, h := range hosts {
+		for _, n := range []int{1, 2, 50, 600} {
+			guest := bintree.RandomAttachment(n, rng)
+			m := make([]int64, n)
+			for i := range m {
+				m[i] = rng.Int63n(h.NumVertices())
+			}
+			e := &Embedding{Guest: guest, Host: h, Map: m}
+			dil, avg := e.EdgeStats()
+			if want := e.Dilation(); dil != want {
+				t.Errorf("%T n=%d: EdgeStats dilation %d, Dilation %d", h, n, dil, want)
+			}
+			if want := e.AverageDilation(); avg != want {
+				t.Errorf("%T n=%d: EdgeStats avg %v, AverageDilation %v", h, n, avg, want)
+			}
+			if rep := e.Summarize(); rep.Dilation != dil || rep.AvgDil != avg {
+				t.Errorf("%T n=%d: Summarize %d/%v, EdgeStats %d/%v", h, n, rep.Dilation, rep.AvgDil, dil, avg)
+			}
+		}
 	}
 }

@@ -21,8 +21,8 @@ func (h lineHost) Distance(u, v int64) int {
 
 func TestDilationParallelMatchesSequential(t *testing.T) {
 	rng := rand.New(rand.NewSource(81))
-	// Large enough to cross the parallel threshold.
-	n := parallelThreshold + 500
+	// The size the fan-out used to start at, plus some.
+	n := 1<<14 + 500
 	guest := bintree.RandomAttachment(n, rng)
 	m := make([]int64, n)
 	for i := range m {
@@ -34,9 +34,8 @@ func TestDilationParallelMatchesSequential(t *testing.T) {
 	if seq != par {
 		t.Fatalf("parallel dilation %d != sequential %d", par, seq)
 	}
-	// Below the threshold it must just delegate.
 	small := &Embedding{Guest: bintree.Path(4), Host: hostPath(4), Map: []int64{0, 1, 2, 3}}
 	if small.DilationParallel() != small.Dilation() {
-		t.Error("small-instance delegation mismatch")
+		t.Error("small-instance mismatch")
 	}
 }

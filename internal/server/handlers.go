@@ -17,6 +17,7 @@ import (
 	"xtreesim/internal/core"
 	"xtreesim/internal/distsim"
 	"xtreesim/internal/engine"
+	"xtreesim/internal/metrics"
 	"xtreesim/internal/netsim"
 	"xtreesim/internal/telemetry"
 	"xtreesim/internal/trace"
@@ -86,6 +87,9 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
+	for _, it := range items {
+		s.embeds.observe(it)
+	}
 	writeJSON(w, http.StatusOK, EmbedResponse{
 		Items:     items,
 		ElapsedMS: float64(time.Since(start).Microseconds()) / 1000,
@@ -134,43 +138,26 @@ func (s *Server) embedTrees(ctx context.Context, req *EmbedRequest, trees []*bin
 
 // embedItem shapes one engine outcome into the wire item.  The derived
 // embeddings (hypercube χ, injective relocation) record phase spans
-// under the context's request span.
+// under the context's request span.  Every item's metrics are measured
+// afresh from its assignment, cache hit or not, so a cache can never
+// change what is reported.  cache_hit means the item ran no compute of
+// its own: it was remapped from the cache or from a concurrent identical
+// compute (coalesced), which on a multi-core engine is a scheduling
+// accident, not a different answer.
 func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.BatchItem) EmbedItem {
-	item := EmbedItem{Index: bi.Index}
 	if bi.Err != nil {
-		item.Error = bi.Err.Error()
-		return item
+		return EmbedItem{Index: bi.Index, Error: bi.Err.Error()}
 	}
 	res := bi.Result
 	if req.hostName() == HostHypercube {
 		hr := core.EmbedHypercubeContext(ctx, res)
 		emb := hr.Embedding()
-		return EmbedItem{
-			Index:        bi.Index,
-			N:            res.Guest.N(),
-			Host:         HostHypercube,
-			HostVertices: hr.Host.NumVertices(),
-			Height:       hr.Host.Dim(),
-			Dilation:     emb.DilationParallel(),
-			AvgDilation:  emb.AverageDilation(),
-			MaxLoad:      emb.MaxLoad(),
-			Expansion:    emb.Expansion(),
-			CacheHit:     bi.CacheHit,
-		}
+		item := measuredItem(bi.Index, HostHypercube, hr.Host.Dim(), emb, emb.MaxLoad())
+		item.CacheHit = bi.CacheHit || bi.Coalesced
+		return item
 	}
-	emb := res.Embedding()
-	item = EmbedItem{
-		Index:        bi.Index,
-		N:            res.Guest.N(),
-		Host:         HostXTree,
-		HostVertices: res.Host.NumVertices(),
-		Height:       res.Host.Height(),
-		Dilation:     emb.DilationParallel(),
-		AvgDilation:  emb.AverageDilation(),
-		MaxLoad:      res.MaxLoad(),
-		Expansion:    res.Expansion(),
-		CacheHit:     bi.CacheHit,
-	}
+	item := measuredItem(bi.Index, HostXTree, res.Host.Height(), res.Embedding(), res.MaxLoad())
+	item.CacheHit = bi.CacheHit || bi.Coalesced
 	if req.Injective {
 		inj, err := core.EmbedInjectiveContext(ctx, res)
 		if err != nil {
@@ -178,19 +165,28 @@ func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.Bat
 			return item
 		}
 		iemb := inj.Embedding()
-		item.Injective = &EmbedItem{
-			Index:        bi.Index,
-			N:            res.Guest.N(),
-			Host:         HostXTree,
-			HostVertices: inj.Host.NumVertices(),
-			Height:       inj.Host.Height(),
-			Dilation:     iemb.DilationParallel(),
-			AvgDilation:  iemb.AverageDilation(),
-			MaxLoad:      iemb.MaxLoad(),
-			Expansion:    iemb.Expansion(),
-		}
+		injItem := measuredItem(bi.Index, HostXTree, inj.Host.Height(), iemb, iemb.MaxLoad())
+		item.Injective = &injItem
 	}
 	return item
+}
+
+// measuredItem reports one embedding: dilation and average dilation from
+// a single walk over the guest edges, plus the caller's load figure (the
+// Theorem 1 result carries its own; derived embeddings count theirs).
+func measuredItem(index int, host string, height int, emb *metrics.Embedding, maxLoad int) EmbedItem {
+	dil, avg := emb.EdgeStats()
+	return EmbedItem{
+		Index:        index,
+		N:            emb.Guest.N(),
+		Host:         host,
+		HostVertices: emb.Host.NumVertices(),
+		Height:       height,
+		Dilation:     dil,
+		AvgDilation:  avg,
+		MaxLoad:      maxLoad,
+		Expansion:    emb.Expansion(),
+	}
 }
 
 // embedUniversal answers the universal host: every guest is a subgraph
@@ -260,6 +256,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 	}
 	res := bi.Result
 	embItem := s.embedItem(ctx, &EmbedRequest{}, bi)
+	s.embeds.observe(embItem)
 
 	place := make([]int32, tree.N())
 	for v, a := range res.Assignment {

@@ -179,6 +179,10 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	writeHelp(&b, "xtreesim_profile_overflow_total", "counter", "Requests served uncached because every profile-engine slot was taken.")
 	fmt.Fprintf(&b, "xtreesim_profile_overflow_total %d\n", s.pool.overflow.Load())
 
+	// Embedding-quality series: the measured dilation of every served
+	// item and how often it broke one of the paper's bounds.
+	s.embeds.render(&b)
+
 	// Partitioned-simulation series: how often /v1/simulate runs through
 	// the distsim coordinator, and how the work and the cross-shard
 	// traffic distribute over shard indices.

@@ -1,6 +1,8 @@
 package server
 
 import (
+	"io"
+	"net/http"
 	"strconv"
 	"strings"
 	"testing"
@@ -83,5 +85,46 @@ func TestWriteHistogramOrdering(t *testing.T) {
 		if !strings.HasPrefix(lines[nb+1], "m_count") || !strings.HasSuffix(lines[nb+1], " 5") {
 			t.Fatalf("labels=%q: want _count 5 last, got %q", labels, lines[nb+1])
 		}
+	}
+}
+
+// TestBoundViolationCounter feeds one crafted item that breaks Theorem 1's
+// dilation bound, next to conforming x-tree and hypercube items, and
+// reads the counters and the per-host dilation histogram back from
+// /metrics: exactly the thm1_dilation series moves.
+func TestBoundViolationCounter(t *testing.T) {
+	s, ts := newTestServer(t, Config{})
+	s.embeds.observe(EmbedItem{Host: HostXTree, Dilation: 4, MaxLoad: 16})
+	s.embeds.observe(EmbedItem{Host: HostXTree, Dilation: 3, MaxLoad: 16})
+	s.embeds.observe(EmbedItem{Host: HostHypercube, Dilation: 4, MaxLoad: 16})
+	s.embeds.observe(EmbedItem{Error: "embed failed"})
+
+	resp, err := http.Get(ts.URL + "/metrics")
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, _ := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	text := string(data)
+	for _, want := range []string{
+		`xtreesim_bound_violations_total{claim="thm1_dilation"} 1`,
+		`xtreesim_bound_violations_total{claim="thm1_load"} 0`,
+		`xtreesim_bound_violations_total{claim="thm3_dilation"} 0`,
+		`xtreesim_bound_violations_total{claim="thm3_load"} 0`,
+		`xtreesim_embed_dilation_bucket{host="xtree",le="2"} 0`,
+		`xtreesim_embed_dilation_bucket{host="xtree",le="3"} 1`,
+		`xtreesim_embed_dilation_bucket{host="xtree",le="4"} 2`,
+		`xtreesim_embed_dilation_bucket{host="xtree",le="+Inf"} 2`,
+		`xtreesim_embed_dilation_sum{host="xtree"} 7`,
+		`xtreesim_embed_dilation_count{host="xtree"} 2`,
+		`xtreesim_embed_dilation_bucket{host="hypercube",le="4"} 1`,
+		`xtreesim_embed_dilation_count{host="hypercube"} 1`,
+	} {
+		if !strings.Contains(text, want) {
+			t.Errorf("metrics missing %q", want)
+		}
+	}
+	if strings.Contains(text, `host="universal"`) {
+		t.Error("histogram rendered a host that served nothing")
 	}
 }

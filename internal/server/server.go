@@ -163,6 +163,7 @@ type Server struct {
 	admit        *admission
 	metrics      *serverMetrics
 	dist         *distMetrics
+	embeds       *embedMetrics
 	logger       *log.Logger
 	accessLog    bool
 	version      string
@@ -225,6 +226,7 @@ func New(cfg Config) *Server {
 		admit:             newAdmission(maxConc, maxQueue),
 		metrics:           newServerMetrics(),
 		dist:              newDistMetrics(),
+		embeds:            newEmbedMetrics(),
 		logger:            logger,
 		accessLog:         cfg.AccessLog,
 		version:           version,

@@ -1,16 +1,13 @@
 package xtree
 
-import (
-	"sync"
-
-	"xtreesim/internal/bitstr"
-)
+import "xtreesim/internal/bitstr"
 
 // NextHop returns the neighbor of cur that lies on a shortest path to dst
 // (cur must differ from dst).  Ties break deterministically by the
 // Neighbors enumeration order.  Because the distance oracle is exact, the
 // greedy step always makes progress, so iterating NextHop routes any pair
-// along a shortest path without routing tables.
+// along a shortest path without routing tables.  It costs at most five
+// closed-form Distance calls.
 func (x *XTree) NextHop(cur, dst bitstr.Addr) bitstr.Addr {
 	if cur == dst {
 		return cur
@@ -37,32 +34,14 @@ func (x *XTree) Route(a, b bitstr.Addr) []bitstr.Addr {
 	return path
 }
 
-// Router is a concurrency-safe memoizing wrapper around NextHop, suitable
-// as a netsim next-hop function: repeated (cur,dst) queries — the common
-// case in a simulation — hit the cache.
-type Router struct {
-	x    *XTree
-	mu   sync.RWMutex
-	memo map[[2]int64]int64
-}
+// Router answers NextHop in dense vertex ids, suitable as a netsim
+// next-hop function.  It keeps no state, so it is safe for concurrent use.
+type Router struct{ x *XTree }
 
 // NewRouter builds a router for the X-tree.
-func NewRouter(x *XTree) *Router {
-	return &Router{x: x, memo: make(map[[2]int64]int64)}
-}
+func NewRouter(x *XTree) *Router { return &Router{x: x} }
 
 // NextHopID answers in dense vertex ids (bitstr heap numbering).
 func (r *Router) NextHopID(cur, dst int64) int64 {
-	key := [2]int64{cur, dst}
-	r.mu.RLock()
-	nh, ok := r.memo[key]
-	r.mu.RUnlock()
-	if ok {
-		return nh
-	}
-	nh = r.x.NextHop(bitstr.FromID(cur), bitstr.FromID(dst)).ID()
-	r.mu.Lock()
-	r.memo[key] = nh
-	r.mu.Unlock()
-	return nh
+	return r.x.NextHop(bitstr.FromID(cur), bitstr.FromID(dst)).ID()
 }

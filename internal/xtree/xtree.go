@@ -8,9 +8,9 @@
 // consecutive vertices on each level (Figure 1 of the paper).
 //
 // The package exposes the adjacency implicitly (so X(40) is as cheap as
-// X(4)), exact distance queries via bidirectional search, the neighborhood
-// sets N(a) of Figure 2 that certify dilation 3, and materialization as a
-// generic graph for small heights.
+// X(4)), exact distance queries in closed form (O(log of the index gap),
+// no allocation), the neighborhood sets N(a) of Figure 2 that certify
+// dilation 3, and materialization as a generic graph for small heights.
 package xtree
 
 import (
@@ -91,96 +91,53 @@ func (x *XTree) Degree(a bitstr.Addr) int {
 	return len(x.Neighbors(a, nil))
 }
 
-// Distance returns the exact shortest-path distance between a and b, using a
-// bidirectional breadth-first search over the implicit adjacency.  X-tree
-// distances are O(log of the index gap), so the searched balls stay small.
+// Distance returns the exact shortest-path distance between a and b in
+// closed form, without search or allocation.
+//
+// A path whose highest (closest to the root) level is l climbs at least
+// (la−l) + (lb−l) vertical edges.  Mapping every vertex on it to its
+// ancestor on level l, a vertical edge leaves the image fixed and a
+// horizontal edge moves it by at most one position, so the path also has
+// at least |idx_l(a) − idx_l(b)| horizontal edges, where idx_l is the
+// index shifted up to level l.  Climbing to l, walking the level and
+// descending meets that bound, so the distance is the minimum over
+// l ≤ min(la, lb) of (la−l) + (lb−l) + |idx_l(a) − idx_l(b)|.  Once the
+// gap is at most one it stays so on every higher level, where each level
+// adds two vertical edges and saves at most one horizontal one, so the
+// scan stops there: O(log of the index gap) steps.
 func (x *XTree) Distance(a, b bitstr.Addr) int {
-	if a == b {
-		return 0
+	if !x.Contains(a) || !x.Contains(b) {
+		panic(fmt.Sprintf("xtree: distance %v-%v outside X(%d)", a, b, x.height))
 	}
-	distA := map[bitstr.Addr]int{a: 0}
-	distB := map[bitstr.Addr]int{b: 0}
-	frontA := []bitstr.Addr{a}
-	frontB := []bitstr.Addr{b}
-	var buf []bitstr.Addr
-	best := -1
-	for depth := 1; len(frontA) > 0 || len(frontB) > 0; depth++ {
-		// Expand the smaller frontier.
-		front, dist, other := &frontA, distA, distB
-		if len(frontB) > 0 && (len(frontA) == 0 || len(frontB) < len(frontA)) {
-			front, dist, other = &frontB, distB, distA
-		}
-		var next []bitstr.Addr
-		for _, u := range *front {
-			du := dist[u]
-			buf = x.Neighbors(u, buf[:0])
-			for _, v := range buf {
-				if _, seen := dist[v]; seen {
-					continue
-				}
-				if dv, meet := other[v]; meet {
-					if d := du + 1 + dv; best < 0 || d < best {
-						best = d
-					}
-					continue
-				}
-				dist[v] = du + 1
-				next = append(next, v)
-			}
-		}
-		*front = next
-		if best >= 0 {
-			// The first meeting depth can overshoot by one layer;
-			// one extra expansion round settles it.  Since both
-			// dist maps only grow by one level per round, once
-			// best <= (max depth of both searches) no shorter
-			// path can appear.
-			da, db := 0, 0
-			for _, d := range distA {
-				if d > da {
-					da = d
-				}
-			}
-			for _, d := range distB {
-				if d > db {
-					db = d
-				}
-			}
-			if best <= da+db {
-				return best
-			}
-		}
+	if a.Level > b.Level {
+		a, b = b, a
 	}
-	return best
+	// Start with l = la: b's index shifted up to a's level, and the
+	// vertical edges (la−l) + (lb−l) that meeting there costs.
+	vertical := uint64(b.Level - a.Level)
+	ia, ib := a.Index, b.Index>>vertical
+	best := ^uint64(0)
+	for {
+		gap := ia - ib
+		if ib > ia {
+			gap = ib - ia
+		}
+		if d := vertical + gap; d < best {
+			best = d
+		}
+		if gap <= 1 {
+			return int(best)
+		}
+		ia, ib = ia>>1, ib>>1
+		vertical += 2
+	}
 }
 
 // DistanceWithin returns the distance between a and b when it is at most
-// radius, and -1 otherwise.  Only the radius-ball around a is explored,
-// which keeps dilation checks O(5^radius) independent of the tree height.
+// radius, and -1 otherwise.
 func (x *XTree) DistanceWithin(a, b bitstr.Addr, radius int) int {
-	if a == b {
-		return 0
-	}
-	dist := map[bitstr.Addr]int{a: 0}
-	queue := []bitstr.Addr{a}
-	var buf []bitstr.Addr
-	for len(queue) > 0 {
-		u := queue[0]
-		queue = queue[1:]
-		du := dist[u]
-		if du >= radius {
-			continue
-		}
-		buf = x.Neighbors(u, buf[:0])
-		for _, v := range buf {
-			if _, seen := dist[v]; !seen {
-				if v == b {
-					return du + 1
-				}
-				dist[v] = du + 1
-				queue = append(queue, v)
-			}
-		}
+	if d := x.Distance(a, b); d <= radius {
+		return d
 	}
 	return -1
 }

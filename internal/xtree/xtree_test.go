@@ -128,6 +128,168 @@ func TestDistanceWithin(t *testing.T) {
 	}
 }
 
+// bidiDistance is the bidirectional breadth-first search over the
+// implicit adjacency that Distance replaced; it stays here as the oracle
+// for the closed form.
+func bidiDistance(x *XTree, a, b bitstr.Addr) int {
+	if a == b {
+		return 0
+	}
+	distA := map[bitstr.Addr]int{a: 0}
+	distB := map[bitstr.Addr]int{b: 0}
+	frontA := []bitstr.Addr{a}
+	frontB := []bitstr.Addr{b}
+	var buf []bitstr.Addr
+	best := -1
+	for len(frontA) > 0 || len(frontB) > 0 {
+		// Expand the smaller frontier.
+		front, dist, other := &frontA, distA, distB
+		if len(frontB) > 0 && (len(frontA) == 0 || len(frontB) < len(frontA)) {
+			front, dist, other = &frontB, distB, distA
+		}
+		var next []bitstr.Addr
+		for _, u := range *front {
+			du := dist[u]
+			buf = x.Neighbors(u, buf[:0])
+			for _, v := range buf {
+				if _, seen := dist[v]; seen {
+					continue
+				}
+				if dv, meet := other[v]; meet {
+					if d := du + 1 + dv; best < 0 || d < best {
+						best = d
+					}
+					continue
+				}
+				dist[v] = du + 1
+				next = append(next, v)
+			}
+		}
+		*front = next
+		if best >= 0 {
+			// The first meeting can overshoot by one layer; once best
+			// is at most the sum of both search depths no shorter path
+			// can appear.
+			da, db := 0, 0
+			for _, d := range distA {
+				if d > da {
+					da = d
+				}
+			}
+			for _, d := range distB {
+				if d > db {
+					db = d
+				}
+			}
+			if best <= da+db {
+				return best
+			}
+		}
+	}
+	return best
+}
+
+// ball is the radius-bounded breadth-first search DistanceWithin used to
+// run: the distance to every vertex within radius of a.  It is the oracle
+// for DistanceWithin.
+func ball(x *XTree, a bitstr.Addr, radius int) map[bitstr.Addr]int {
+	dist := map[bitstr.Addr]int{a: 0}
+	queue := []bitstr.Addr{a}
+	var buf []bitstr.Addr
+	for len(queue) > 0 {
+		u := queue[0]
+		queue = queue[1:]
+		du := dist[u]
+		if du >= radius {
+			continue
+		}
+		buf = x.Neighbors(u, buf[:0])
+		for _, v := range buf {
+			if _, seen := dist[v]; !seen {
+				dist[v] = du + 1
+				queue = append(queue, v)
+			}
+		}
+	}
+	return dist
+}
+
+// TestDistanceExhaustive checks the closed form against both search
+// oracles on every ordered pair of X(0) … X(8), and DistanceWithin at
+// radii 0–4 against the bounded ball.
+func TestDistanceExhaustive(t *testing.T) {
+	maxR := 8
+	if testing.Short() {
+		maxR = 6
+	}
+	for r := 0; r <= maxR; r++ {
+		x := New(r)
+		n := x.NumVertices()
+		for ia := int64(0); ia < n; ia++ {
+			a := bitstr.FromID(ia)
+			near := ball(x, a, 4)
+			for ib := int64(0); ib < n; ib++ {
+				b := bitstr.FromID(ib)
+				want := bidiDistance(x, a, b)
+				if got := x.Distance(a, b); got != want {
+					t.Fatalf("X(%d): Distance(%v,%v) = %d, BFS %d", r, a, b, got, want)
+				}
+				for radius := 0; radius <= 4; radius++ {
+					want, ok := near[b]
+					if !ok || want > radius {
+						want = -1
+					}
+					if got := x.DistanceWithin(a, b, radius); got != want {
+						t.Fatalf("X(%d): DistanceWithin(%v,%v,%d) = %d, ball %d", r, a, b, radius, got, want)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestDistanceDeepTree compares Distance with single-source BFS over the
+// materialized X(16) from 32 seeded sources to every vertex, covering
+// index gaps far beyond the exhaustive heights.
+func TestDistanceDeepTree(t *testing.T) {
+	x := New(16)
+	g := x.AsGraph()
+	n := x.NumVertices()
+	rng := rand.New(rand.NewSource(16))
+	for s := 0; s < 32; s++ {
+		src := rng.Int63n(n)
+		a := bitstr.FromID(src)
+		for id, want := range g.BFSFrom(int(src)) {
+			if got := x.Distance(a, bitstr.FromID(int64(id))); got != want {
+				t.Fatalf("Distance(%v,%v) = %d, BFS %d", a, bitstr.FromID(int64(id)), got, want)
+			}
+		}
+	}
+}
+
+// TestDistanceZeroAlloc holds the closed form allocation-free: the
+// metric walk of every /v1/embed calls it once per guest edge.
+func TestDistanceZeroAlloc(t *testing.T) {
+	x := New(40)
+	a := bitstr.MustParse("0110110011010101001101010111010101010101")
+	b := bitstr.MustParse("10010110111")
+	if allocs := testing.AllocsPerRun(100, func() { _ = x.Distance(a, b) }); allocs != 0 {
+		t.Fatalf("Distance allocates %.0f times per call, want 0", allocs)
+	}
+}
+
+// BenchmarkDistance measures one closed-form query between far-apart
+// vertices of X(10).
+func BenchmarkDistance(b *testing.B) {
+	x := New(10)
+	u := bitstr.MustParse("0000110101")
+	v := bitstr.MustParse("1101")
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		_ = x.Distance(u, v)
+	}
+}
+
 func TestDistanceLargeTree(t *testing.T) {
 	// The implicit representation must handle heights far beyond anything
 	// materializable.  Distances between a vertex and its ancestors and
