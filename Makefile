@@ -145,8 +145,9 @@ serve-bench:
 
 # E20 + the perf gate (also the CI perf job): the exact AllocsPerRun
 # budgets on the default-option embed, the closed-form X-tree distance
-# (zero) and a warm n=1008 x-tree /v1/embed through the full handler,
-# then the E20 sweep diffed against the committed BENCH_embed.json — any
+# (zero), a warm n=1008 x-tree /v1/embed through the full handler and
+# the n=1008 ideal-tree simulation baseline, then the E20 sweep diffed
+# against the committed BENCH_embed.json — any
 # configuration more than 10% over its baseline allocs/op fails.
 # Refresh the baseline by running `go run ./cmd/xtree-bench -exp e20`
 # and committing the file.
@@ -154,6 +155,7 @@ embed-bench:
 	$(GO) test -run TestEmbedAllocBudget -v ./internal/core
 	$(GO) test -run TestDistanceZeroAlloc -v ./internal/xtree
 	$(GO) test -run TestWarmEmbedAllocBudget -v ./internal/server
+	$(GO) test -run TestIdealBaselineAllocBudget -v ./internal/netsim
 	$(GO) run ./cmd/xtree-bench -exp e20 -embed-out '' -embed-baseline BENCH_embed.json
 
 examples:

@@ -14,6 +14,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"strings"
 	"sync"
 	"time"
@@ -213,7 +214,10 @@ func smokeGracefulDrain() error {
 			statuses <- resp.StatusCode
 		}(i)
 	}
-	time.Sleep(20 * time.Millisecond) // let the flood be admitted
+	// Shut down under the flood once all of it is observably admitted.
+	if err := awaitFlood(url, n); err != nil {
+		return err
+	}
 	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
 	defer cancel()
 	if err := s.Shutdown(ctx); err != nil {
@@ -228,6 +232,50 @@ func smokeGracefulDrain() error {
 	}
 	fmt.Printf("serve-smoke: graceful drain ok (%d in-flight requests all completed)\n", n)
 	return nil
+}
+
+// awaitFlood polls /metrics until all n embed requests have reached
+// admission (holding a slot, queued, or answered) while at least one
+// still holds a slot, so the shutdown that follows must drain real work
+// and every client must get its answer.
+func awaitFlood(url string, n int) error {
+	const served = `xtreesim_http_requests_total{route="/v1/embed",code="200"}`
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		m, err := scrapeMetrics(url)
+		if err != nil {
+			return err
+		}
+		inFlight := m["xtreesim_http_in_flight"]
+		if m[served] >= n {
+			return fmt.Errorf("every request finished before the shutdown")
+		}
+		if inFlight > 0 && inFlight+m["xtreesim_http_admission_queue"]+m[served] >= n {
+			return nil
+		}
+	}
+	return fmt.Errorf("the flood of %d did not reach admission within 10s", n)
+}
+
+// scrapeMetrics reads the integer samples of /metrics, keyed by series.
+func scrapeMetrics(url string) (map[string]int, error) {
+	resp, err := http.Get(url + "/metrics")
+	if err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	defer resp.Body.Close()
+	body, err := io.ReadAll(resp.Body)
+	if err != nil {
+		return nil, fmt.Errorf("metrics: %w", err)
+	}
+	m := make(map[string]int)
+	for _, line := range strings.Split(string(body), "\n") {
+		if i := strings.LastIndexByte(line, ' '); i > 0 && !strings.HasPrefix(line, "#") {
+			if v, err := strconv.Atoi(line[i+1:]); err == nil {
+				m[line[:i]] = v
+			}
+		}
+	}
+	return m, nil
 }
 
 func shutdown(s *server.Server) {

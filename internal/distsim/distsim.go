@@ -22,9 +22,10 @@
 package distsim
 
 import (
+	"cmp"
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 	"sync"
 	"time"
 
@@ -172,9 +173,6 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 	if sim.Host == nil || len(sim.Place) == 0 {
 		return nil, fmt.Errorf("distsim: empty host or placement")
 	}
-	if sim.NextHop == nil && sim.Host.N() > netsim.MaxHostVertices {
-		return nil, fmt.Errorf("distsim: host has %d vertices, limit %d (pass a NextHop router to lift it)", sim.Host.N(), netsim.MaxHostVertices)
-	}
 	for p, h := range sim.Place {
 		if h < 0 || int(h) >= sim.Host.N() {
 			return nil, fmt.Errorf("distsim: process %d placed on invalid vertex %d", p, h)
@@ -206,7 +204,8 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 			return nil, fmt.Errorf("distsim: vertex %d assigned to shard %d of %d", v, o, parts)
 		}
 	}
-	fc, err := netsim.NewFaultCoord(sim.Faults, sim.Host)
+	ranker := netsim.NewEdgeRanker(sim.Host)
+	fc, err := netsim.NewFaultCoord(sim.Faults, ranker)
 	if err != nil {
 		return nil, err
 	}
@@ -214,12 +213,16 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 		sim: sim, host: sim.Host, place: sim.Place, wl: wl,
 		parts: parts, owner: owner, hopFn: sim.NextHop, fc: fc,
 		sampler:     cfg.ShardSampler,
-		ranker:      netsim.NewEdgeRanker(sim.Host),
+		ranker:      ranker,
 		injNext:     make([][]netsim.Placement, parts),
 		boundaryOut: make([]int, parts),
 	}
 	if c.hopFn == nil {
-		c.tables = netsim.BuildNextHopTables(sim.Host)
+		// One routing for every shard: the tree router and the tables
+		// are both read-only once built.
+		if c.hopFn, c.tables, err = netsim.Routing(sim.Host); err != nil {
+			return nil, err
+		}
 	}
 	obs := append([]netsim.Observer(nil), sim.Observers...)
 	if cfg.Audit {
@@ -244,7 +247,7 @@ func newCoord(cfg Config, wl netsim.Workload) (*coord, error) {
 		}
 		shard, err := netsim.NewShard(netsim.ShardConfig{
 			Host: sim.Host, Owner: owner, Self: int32(k), Parts: parts,
-			NextHop: sim.NextHop, Tables: c.tables, Ranker: c.ranker,
+			NextHop: c.hopFn, Tables: c.tables, Ranker: c.ranker,
 			Faults: sim.Faults, Observers: shardObs,
 			ReportActive: fc != nil && fc.HasProbs(),
 			EmitHops:     c.obs != nil,
@@ -367,15 +370,14 @@ func (c *coord) run(ctx context.Context) (netsim.Result, error) {
 				c.maxQueue = rep.MaxQueue
 			}
 		}
-		sort.Slice(killLosses, func(a, b int) bool {
-			x, y := killLosses[a], killLosses[b]
-			if x.Kill != y.Kill {
-				return x.Kill < y.Kill
+		slices.SortFunc(killLosses, func(x, y netsim.LossRecord) int {
+			if d := cmp.Compare(x.Kill, y.Kill); d != 0 {
+				return d
 			}
-			if x.Step != y.Step {
-				return x.Step < y.Step
+			if d := cmp.Compare(x.Step, y.Step); d != 0 {
+				return d
 			}
-			return x.Pos < y.Pos
+			return cmp.Compare(x.Pos, y.Pos)
 		})
 		li := 0
 		for _, fk := range fired {
@@ -571,7 +573,7 @@ func (c *coord) drawDecisions(reps []*netsim.BeginReport) [][]netsim.HopDecision
 			all = append(all, slot{shard: k, pos: pos, ae: ae})
 		}
 	}
-	sort.Slice(all, func(a, b int) bool { return all[a].ae.Edge < all[b].ae.Edge })
+	slices.SortFunc(all, func(x, y slot) int { return cmp.Compare(x.ae.Edge, y.ae.Edge) })
 	for _, s := range all {
 		d := c.fc.Decide(s.ae.HeadCorrupt)
 		if d.Corrupt {
@@ -603,9 +605,9 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 			c.maxLinkLoad = rep.MaxLinkLoad
 		}
 	}
-	sort.SliceStable(losses, func(a, b int) bool { return losses[a].Edge < losses[b].Edge })
+	slices.SortStableFunc(losses, func(x, y netsim.LossRecord) int { return cmp.Compare(x.Edge, y.Edge) })
 	if c.obs != nil {
-		sort.Slice(hops, func(a, b int) bool { return hops[a].Edge < hops[b].Edge })
+		slices.SortFunc(hops, func(x, y netsim.HopRecord) int { return cmp.Compare(x.Edge, y.Edge) })
 		li := 0
 		for _, h := range hops {
 			c.obs.OnHop(netsim.HopInfo{Cycle: cycle, Edge: h.Edge, From: h.From, To: h.To,
@@ -627,8 +629,8 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 	// Phase 2: link arrivals in edge order, then memory-queue arrivals in
 	// vertex order — the single-process arrival sequence — then the
 	// stable delivery sort.
-	sort.Slice(linkArr, func(a, b int) bool { return linkArr[a].Edge < linkArr[b].Edge })
-	sort.SliceStable(localArr, func(a, b int) bool { return localArr[a].Vertex < localArr[b].Vertex })
+	slices.SortFunc(linkArr, func(x, y netsim.ArrivalRecord) int { return cmp.Compare(x.Edge, y.Edge) })
+	slices.SortStableFunc(localArr, func(x, y netsim.LocalArrival) int { return cmp.Compare(x.Vertex, y.Vertex) })
 	arrived := make([]netsim.WireMsg, 0, len(linkArr)+len(localArr))
 	for _, a := range linkArr {
 		arrived = append(arrived, a.Msg)
@@ -636,7 +638,7 @@ func (c *coord) processFire(cycle int, reps []*netsim.FireReport) error {
 	for _, a := range localArr {
 		arrived = append(arrived, a.Msg)
 	}
-	sort.SliceStable(arrived, func(a, b int) bool { return netsim.LessDelivery(arrived[a], arrived[b]) })
+	slices.SortStableFunc(arrived, netsim.CompareDelivery)
 	c.pending = c.pending[:0]
 	emit := func(ev netsim.Event) { c.pending = append(c.pending, ev) }
 	for _, w := range arrived {
@@ -745,7 +747,7 @@ func (c *coord) finishStats() {
 	if len(c.latencies) == 0 {
 		return
 	}
-	sort.Ints(c.latencies)
+	slices.Sort(c.latencies)
 	c.res.LatencyP50 = c.latencies[len(c.latencies)/2]
 	c.res.LatencyP99 = c.latencies[len(c.latencies)*99/100]
 	c.res.LatencyMax = c.latencies[len(c.latencies)-1]

@@ -187,14 +187,15 @@ func TestCrossBoundaryKill(t *testing.T) {
 	}
 }
 
-// TestOversizedHostMirrored pins the satellite fix on both runners: a host
+// TestOversizedHostMirrored pins the cap on both runners: a non-tree host
 // over MaxHostVertices with no NextHop router must produce a clear error
 // naming the cap and the escape hatch, not a V² allocation or a panic.
+// (A tree host routes without tables; it is not capped.)
 func TestOversizedHostMirrored(t *testing.T) {
 	n := netsim.MaxHostVertices + 10
 	g := graph.New(n)
-	for i := 0; i+1 < n; i++ {
-		g.AddEdge(i, i+1)
+	for i := 0; i < n; i++ {
+		g.AddEdge(i, (i+1)%n) // a cycle: table-routed
 	}
 	cfg := netsim.Config{Host: g, Place: []int32{0, int32(n - 1)}}
 	for name, run := range map[string]func() error{
@@ -213,6 +214,24 @@ func TestOversizedHostMirrored(t *testing.T) {
 				t.Errorf("%s: error %q does not mention %q", name, err, want)
 			}
 		}
+	}
+	// The same size as a tree (the path) is not capped on either runner,
+	// and the two still agree.
+	path := graph.New(n)
+	for i := 0; i+1 < n; i++ {
+		path.AddEdge(i, i+1)
+	}
+	tcfg := netsim.Config{Host: path, Place: []int32{0, int32(n - 1)}}
+	ref, err := netsim.Run(tcfg, netsim.NewBroadcast(bintree.CompleteN(2)))
+	if err != nil {
+		t.Fatalf("netsim: tree host over the table cap refused: %v", err)
+	}
+	res, err := Run(Config{Sim: tcfg, Partitions: 2}, netsim.NewBroadcast(bintree.CompleteN(2)))
+	if err != nil {
+		t.Fatalf("distsim: tree host over the table cap refused: %v", err)
+	}
+	if !reflect.DeepEqual(res, ref) || ref.Cycles != n-1 {
+		t.Fatalf("tree host: distsim %+v, netsim %+v, want %d cycles", res, ref, n-1)
 	}
 }
 

@@ -1,9 +1,10 @@
 package netsim
 
 import (
+	"cmp"
 	"fmt"
 	"math/rand"
-	"sort"
+	"slices"
 
 	"xtreesim/internal/graph"
 )
@@ -128,8 +129,9 @@ type schedKill struct {
 type faultState struct {
 	plan  FaultPlan // defaults filled in
 	rng   *rand.Rand
+	ranks *EdgeRanker
 	deadV []bool
-	deadE map[int64]bool // directed edge keys; kills insert both directions
+	deadE []bool // by directed edge rank; kills mark both directions
 
 	kills   []schedKill // merged schedule, sorted by cycle
 	killIdx int         // next kill to apply
@@ -139,9 +141,10 @@ type faultState struct {
 	nh map[int32][]int32
 }
 
-// newFaultState validates the plan and builds the run state, or returns
-// (nil, nil) for an inert plan.
-func newFaultState(p *FaultPlan, host *graph.Graph) (*faultState, error) {
+// newFaultState validates the plan against the ranker's host and builds
+// the run state, or returns (nil, nil) for an inert plan.
+func newFaultState(p *FaultPlan, ranks *EdgeRanker) (*faultState, error) {
+	host := ranks.host
 	if err := p.validate(host); err != nil {
 		return nil, err
 	}
@@ -158,8 +161,9 @@ func newFaultState(p *FaultPlan, host *graph.Graph) (*faultState, error) {
 	f := &faultState{
 		plan:  plan,
 		rng:   rand.New(rand.NewSource(plan.Seed)),
+		ranks: ranks,
 		deadV: make([]bool, host.N()),
-		deadE: make(map[int64]bool),
+		deadE: make([]bool, ranks.Count()),
 		nh:    make(map[int32][]int32),
 	}
 	for _, k := range plan.LinkKills {
@@ -168,13 +172,31 @@ func newFaultState(p *FaultPlan, host *graph.Graph) (*faultState, error) {
 	for _, k := range plan.VertexKills {
 		f.kills = append(f.kills, schedKill{cycle: k.Cycle, vertex: true, u: k.V, v: k.V})
 	}
-	sort.SliceStable(f.kills, func(a, b int) bool { return f.kills[a].cycle < f.kills[b].cycle })
+	slices.SortStableFunc(f.kills, func(x, y schedKill) int { return cmp.Compare(x.cycle, y.cycle) })
 	return f, nil
 }
 
-// blocked reports whether the directed hop u→v is unusable.
+// blocked reports whether the directed hop u→v is unusable.  A pair that
+// is not a host edge is not blocked here: the caller reports it as a
+// missing edge.
 func (f *faultState) blocked(u, v int32) bool {
-	return f.deadE[ekey(u, v)] || f.deadV[v] || f.deadV[u]
+	if f.deadV[v] || f.deadV[u] {
+		return true
+	}
+	r := f.ranks.Rank(u, v)
+	return r >= 0 && f.deadE[r]
+}
+
+// killLink marks both directions of the host edge {u, v} dead and
+// reports whether it was alive before.
+func (f *faultState) killLink(u, v int32) bool {
+	uv := f.ranks.Rank(u, v)
+	if f.deadE[uv] {
+		return false
+	}
+	f.deadE[uv] = true
+	f.deadE[f.ranks.Rank(v, u)] = true
+	return true
 }
 
 // next returns the next hop from `at` toward dst over the alive graph, or
@@ -228,8 +250,7 @@ func (s *sim) applyKills() {
 				s.obs.OnKill(KillInfo{Cycle: s.now, Vertex: true, U: k.u, V: k.u})
 			}
 			for _, nb := range s.host.Neighbors(int(k.u)) {
-				f.deadE[ekey(k.u, nb)] = true
-				f.deadE[ekey(nb, k.u)] = true
+				f.killLink(k.u, nb)
 				s.flushEdge(k.u, nb)
 				s.flushEdge(nb, k.u)
 			}
@@ -241,11 +262,9 @@ func (s *sim) applyKills() {
 				s.local[k.u] = nil
 			}
 		} else {
-			if f.deadE[ekey(k.u, k.v)] {
+			if !f.killLink(k.u, k.v) {
 				continue // the link is already down (duplicate schedule entry)
 			}
-			f.deadE[ekey(k.u, k.v)] = true
-			f.deadE[ekey(k.v, k.u)] = true
 			if s.obs != nil {
 				s.obs.OnKill(KillInfo{Cycle: s.now, U: k.u, V: k.v})
 			}
@@ -261,11 +280,7 @@ func (s *sim) applyKills() {
 
 // flushEdge loses every message queued on the directed edge u→v.
 func (s *sim) flushEdge(u, v int32) {
-	idx, ok := s.edgeIndex[ekey(u, v)]
-	if !ok {
-		return
-	}
-	q := &s.queues[idx]
+	q := &s.queues[s.ranker.Rank(u, v)]
 	n := q.length()
 	if n == 0 {
 		return

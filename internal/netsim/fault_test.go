@@ -168,6 +168,21 @@ func TestNextHopRouterDeadEdgeFallback(t *testing.T) {
 	}
 }
 
+func TestNextHopNonNeighborUnderFaults(t *testing.T) {
+	// A router that names a vertex that is not a neighbor must get the
+	// missing-edge error under an active plan too, not a dead-link
+	// lookup on an edge that does not exist.
+	_, err := Run(Config{
+		Host:    cycleHost(),
+		Place:   []int32{0, 2},
+		NextHop: func(cur, dst int32) int32 { return dst },
+		Faults:  &FaultPlan{LinkKills: []LinkKill{{U: 1, V: 2, Cycle: 50}}},
+	}, &testStream{n: 1})
+	if err == nil || !strings.Contains(err.Error(), "missing edge 0->2") {
+		t.Fatalf("got %v, want the missing-edge error", err)
+	}
+}
+
 func TestVertexKillMakesGuestUnreachable(t *testing.T) {
 	tr := bintree.Path(3)
 	res, err := Run(Config{

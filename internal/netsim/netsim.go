@@ -25,12 +25,13 @@ package netsim
 import (
 	"context"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xtreesim/internal/graph"
 )
 
-// MaxHostVertices bounds the routing-table size (V² next-hop entries).
+// MaxHostVertices bounds the hosts that route by BFS tables (V² next-hop
+// entries).  Tree hosts route without tables and have no cap; see Routing.
 const MaxHostVertices = 4096
 
 // Event is a guest-level message between two guest processes.
@@ -56,10 +57,11 @@ type Config struct {
 	Host      *graph.Graph
 	Place     []int32 // guest process -> host vertex
 	MaxCycles int     // safety cap; 0 means 1<<20
-	// NextHop, when non-nil, replaces the precomputed routing tables:
+	// NextHop, when non-nil, replaces the routing Routing would pick:
 	// it must return a neighbor of cur strictly closer to dst.  With a
 	// topology-aware router (e.g. xtree.Router) this lifts the
-	// MaxHostVertices cap, which only bounds the V² table memory.
+	// MaxHostVertices cap on non-tree hosts, which only bounds the V²
+	// table memory.
 	NextHop func(cur, dst int32) int32
 	// Faults, when non-nil and active, injects deterministic failures
 	// (link/vertex kills, drops, corruption) and enables the
@@ -74,13 +76,6 @@ type Config struct {
 	// partitioned config is never silently simulated on one goroutine.
 	// Use the distsim runner (or xtreesim.WithPartitions) instead.
 	Partitions int
-
-	// legacyMultiHop re-enables the pre-fix Phase 1 scheduler, which
-	// let a message forwarded onto a higher-indexed queue move again in
-	// the same cycle (several hops per cycle on ascending routes).
-	// Test-only: it exists so the audit tests can prove LinkAudit
-	// catches exactly that class of bug.
-	legacyMultiHop bool
 }
 
 // Result summarizes a run.
@@ -155,14 +150,14 @@ type sim struct {
 	place   []int32
 	wl      Workload
 	nextHop [][]int32                  // nextHop[dst][cur] = neighbor of cur toward dst
-	hopFn   func(cur, dst int32) int32 // overrides the tables when non-nil
+	hopFn   func(cur, dst int32) int32 // routes instead of the tables when non-nil
 
-	edges     [][2]int32 // directed edges in deterministic order
-	edgeIndex map[int64]int
-	queues    []linkQueue // per directed edge, FIFO
-	active    []int       // scratch: links busy at the start of the cycle
-	traffic   []int       // total messages ever moved per edge
-	local     [][]message // per-vertex memory queues
+	ranker  *EdgeRanker
+	edges   [][2]int32  // directed edges, indexed by rank
+	queues  []linkQueue // per directed edge, FIFO
+	active  []int       // scratch: links busy at the start of the cycle
+	traffic []int       // total messages ever moved per edge
+	local   [][]message // per-vertex memory queues
 
 	inflight    int
 	emitted     int64 // guest events accepted so far; doubles as the next seq
@@ -175,8 +170,6 @@ type sim struct {
 	obs    Observer    // nil when no observers are attached
 	faults *faultState // nil on a fault-free run
 	retx   []retx      // messages parked for retransmission
-
-	legacyMultiHop bool
 }
 
 // Run simulates the workload on the host with the given placement until
@@ -193,9 +186,6 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 	if cfg.Host == nil || len(cfg.Place) == 0 {
 		return Result{}, fmt.Errorf("netsim: empty host or placement")
 	}
-	if cfg.NextHop == nil && cfg.Host.N() > MaxHostVertices {
-		return Result{}, fmt.Errorf("netsim: host has %d vertices, limit %d (pass a NextHop router to lift it)", cfg.Host.N(), MaxHostVertices)
-	}
 	for p, h := range cfg.Place {
 		if h < 0 || int(h) >= cfg.Host.N() {
 			return Result{}, fmt.Errorf("netsim: process %d placed on invalid vertex %d", p, h)
@@ -209,18 +199,21 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		maxCycles = 1 << 20
 	}
 	s := &sim{host: cfg.Host, place: cfg.Place, wl: wl, hopFn: cfg.NextHop,
-		obs: combineObservers(cfg.Observers), legacyMultiHop: cfg.legacyMultiHop}
+		obs: combineObservers(cfg.Observers)}
+	s.buildEdges()
 	if cfg.Faults != nil {
-		fs, err := newFaultState(cfg.Faults, cfg.Host)
+		fs, err := newFaultState(cfg.Faults, s.ranker)
 		if err != nil {
 			return Result{}, err
 		}
 		s.faults = fs // nil when the plan is inert
 	}
 	if s.hopFn == nil {
-		s.buildRouting()
+		var err error
+		if s.hopFn, s.nextHop, err = Routing(cfg.Host); err != nil {
+			return Result{}, err
+		}
 	}
-	s.buildEdges()
 	s.local = make([][]message, cfg.Host.N())
 	if s.faults != nil {
 		s.applyKills() // kills scheduled at cycle ≤ 0 are dead from the start
@@ -280,26 +273,15 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		// on an ascending route would cross several links per cycle and
 		// dilation would no longer bound the slowdown.
 		var arrived []message // at-destination deliveries this cycle
-		if s.legacyMultiHop {
-			for i := range s.queues {
-				if s.queues[i].length() == 0 {
-					continue
-				}
-				if err := s.moveHead(i, &arrived); err != nil {
-					return s.res, err
-				}
+		s.active = s.active[:0]
+		for i := range s.queues {
+			if s.queues[i].length() > 0 {
+				s.active = append(s.active, i)
 			}
-		} else {
-			s.active = s.active[:0]
-			for i := range s.queues {
-				if s.queues[i].length() > 0 {
-					s.active = append(s.active, i)
-				}
-			}
-			for _, i := range s.active {
-				if err := s.moveHead(i, &arrived); err != nil {
-					return s.res, err
-				}
+		}
+		for _, i := range s.active {
+			if err := s.moveHead(i, &arrived); err != nil {
+				return s.res, err
 			}
 		}
 		for v := range s.local {
@@ -312,12 +294,12 @@ func RunContext(ctx context.Context, cfg Config, wl Workload) (Result, error) {
 		// Phase 2: deliver in a deterministic order and route the
 		// responses.  The key must totally order distinct messages:
 		// (To, From, Kind) alone lets two messages differing only in
-		// Payload land in unspecified order under sort.Slice, so the
-		// tie-break continues through Payload and sentAt, and the sort
-		// is stable so true duplicates keep their arrival order (which
-		// is itself deterministic).
-		sort.SliceStable(arrived, func(a, b int) bool {
-			return deliveryLess(arrived[a].ev, arrived[a].sentAt, arrived[b].ev, arrived[b].sentAt)
+		// Payload land in unspecified order under an unstable sort, so
+		// the tie-break continues through Payload and sentAt, and the
+		// sort is stable so true duplicates keep their arrival order
+		// (which is itself deterministic).
+		slices.SortStableFunc(arrived, func(x, y message) int {
+			return compareDelivery(x.ev, x.sentAt, y.ev, y.sentAt)
 		})
 		pending = pending[:0]
 		for _, m := range arrived {
@@ -444,8 +426,8 @@ func (s *sim) enqueue(at int32, m message) error {
 		}
 		return fmt.Errorf("netsim: no route from %d to %d", at, m.dstHost)
 	}
-	idx, ok := s.edgeIndex[ekey(at, nh)]
-	if !ok {
+	idx := s.ranker.Rank(at, nh)
+	if idx < 0 {
 		return fmt.Errorf("netsim: missing edge %d->%d", at, nh)
 	}
 	s.queues[idx].push(m)
@@ -459,20 +441,12 @@ func (s *sim) enqueue(at int32, m message) error {
 	return nil
 }
 
-// ekey packs a directed edge into the edgeIndex key.
-func ekey(u, v int32) int64 { return int64(u)<<32 | int64(v) }
-
-// buildRouting fills the per-destination next-hop tables.
-func (s *sim) buildRouting() {
-	s.nextHop = BuildNextHopTables(s.host)
-}
-
 // BuildNextHopTables precomputes shortest-path routing for the host by one
 // BFS per destination: tables[dst][cur] is the neighbor of cur on a
-// shortest path toward dst, or -1 when unreachable.  The tables are what
-// the single-process runner builds internally; they are exported so the
-// distsim runner can build them once and share them read-only across every
-// shard instead of paying the V² memory per partition.
+// shortest path toward dst, or -1 when unreachable.  Routing builds them
+// for every non-tree host; they are exported so the distsim runner can
+// build them once and share them read-only across every shard instead of
+// paying the V² memory per partition.
 func BuildNextHopTables(host *graph.Graph) [][]int32 {
 	n := host.N()
 	tables := make([][]int32, n)
@@ -498,14 +472,13 @@ func BuildNextHopTables(host *graph.Graph) [][]int32 {
 	return tables
 }
 
-// buildEdges enumerates the directed edges deterministically.
+// buildEdges lays the link state out in the EdgeRanker enumeration the
+// shards share, so an edge's index here is its global rank.
 func (s *sim) buildEdges() {
-	s.edgeIndex = make(map[int64]int)
-	for u := 0; u < s.host.N(); u++ {
-		ns := append([]int32(nil), s.host.Neighbors(u)...)
-		sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
+	s.ranker = NewEdgeRanker(s.host)
+	s.edges = make([][2]int32, 0, s.ranker.Count())
+	for u, ns := range s.ranker.adj {
 		for _, v := range ns {
-			s.edgeIndex[ekey(int32(u), v)] = len(s.edges)
 			s.edges = append(s.edges, [2]int32{int32(u), v})
 		}
 	}
@@ -524,7 +497,7 @@ func (s *sim) finishStats() {
 	if len(s.latencies) == 0 {
 		return
 	}
-	sort.Ints(s.latencies)
+	slices.Sort(s.latencies)
 	s.res.LatencyP50 = s.latencies[len(s.latencies)/2]
 	s.res.LatencyP99 = s.latencies[len(s.latencies)*99/100]
 	s.res.LatencyMax = s.latencies[len(s.latencies)-1]

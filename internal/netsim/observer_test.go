@@ -65,24 +65,59 @@ func TestOneHopPerCyclePathRegression(t *testing.T) {
 	}
 }
 
-func TestLinkAuditDetectsLegacyMultiHopScheduler(t *testing.T) {
-	// Re-enable the pre-fix scheduler and prove two things: the bug is
-	// what we say it is (the whole path in one cycle), and LinkAudit
-	// catches exactly this class of violation, so a regression cannot
-	// come back silently.
-	const n = 6
+// hopLog records the OnHop stream of a run.
+type hopLog struct {
+	NopObserver
+	hops []HopInfo
+}
+
+func (l *hopLog) OnHop(h HopInfo) { l.hops = append(l.hops, h) }
+
+// replay feeds a crafted event stream to a fresh audit: one OnCycleStart
+// per distinct cycle (with consistent counters, so only the hop checks can
+// fire), then that cycle's hops.
+func replay(hops []HopInfo, inflight int) *LinkAudit {
 	audit := NewLinkAudit()
-	cfg := Config{Host: pathHost(n), Place: IdentityPlacement(n),
-		Observers: []Observer{audit}, legacyMultiHop: true}
-	res, err := Run(cfg, &sendOne{from: 0, to: n - 1})
-	if err != nil {
+	cycle := 0
+	for _, h := range hops {
+		if h.Cycle != cycle {
+			cycle = h.Cycle
+			audit.OnCycleStart(CycleInfo{Cycle: cycle, Inflight: inflight,
+				Emitted: int64(inflight), QueuedLinks: inflight})
+		}
+		audit.OnHop(h)
+	}
+	return audit
+}
+
+func TestLinkAuditDetectsLegacyMultiHopScheduler(t *testing.T) {
+	// The pre-fix scheduler let a message forwarded onto a
+	// higher-indexed queue move again in the same cycle, so a message
+	// on an ascending route crossed the whole path in one cycle.  Take
+	// the real hop stream of 0→5 on a path (clean: one hop per cycle)
+	// and collapse it into cycle 1, which is exactly what that
+	// scheduler emitted: LinkAudit must flag it, so the bug cannot come
+	// back silently.
+	const n = 6
+	log := &hopLog{}
+	clean := NewLinkAudit()
+	cfg := Config{Host: pathHost(n), Place: IdentityPlacement(n), Observers: []Observer{log, clean}}
+	if _, err := Run(cfg, &sendOne{from: 0, to: n - 1}); err != nil {
 		t.Fatal(err)
 	}
-	if res.Cycles != 1 {
-		t.Fatalf("legacy scheduler took %d cycles; the bug this test documents gave 1", res.Cycles)
+	if err := clean.Err(); err != nil {
+		t.Fatalf("real run flagged: %v", err)
 	}
+	if len(log.hops) != n-1 {
+		t.Fatalf("real run made %d hops, want %d", len(log.hops), n-1)
+	}
+	collapsed := append([]HopInfo(nil), log.hops...)
+	for i := range collapsed {
+		collapsed[i].Cycle = 1
+	}
+	audit := replay(collapsed, 1)
 	if audit.Err() == nil {
-		t.Fatal("LinkAudit did not flag the multi-hop scheduler")
+		t.Fatal("LinkAudit did not flag the multi-hop schedule")
 	}
 	found := false
 	for _, v := range audit.Violations() {
@@ -96,21 +131,23 @@ func TestLinkAuditDetectsLegacyMultiHopScheduler(t *testing.T) {
 }
 
 func TestLinkAuditDetectsDoubleLinkUse(t *testing.T) {
-	// Two messages on the same queue: the legacy scheduler also moved
-	// the second head once the first was forwarded off a shorter queue.
-	// Here both heads of link (0,1) cross in the same legacy cycle, so
-	// the per-link half of the audit fires too.
-	audit := NewLinkAudit()
-	cfg := Config{Host: pathHost(3), Place: []int32{0, 2, 0},
-		Observers: []Observer{audit}, legacyMultiHop: true}
-	// Guests 0 and 2 sit on vertex 0, guest 1 on vertex 2: two messages
-	// head out over 0→1→2 together.
-	wl := &testStream{n: 2}
-	if _, err := Run(cfg, wl); err != nil {
-		t.Fatal(err)
+	// The legacy scheduler also moved a second head over a link once
+	// the first was forwarded off it.  Two messages crossing link 0→1
+	// of a path in the same cycle must trip the per-link half of the
+	// audit, and the same crossings one cycle apart must not.
+	edge := NewEdgeRanker(pathHost(3)).Rank(0, 1)
+	hop := func(cycle int, seq int64) HopInfo {
+		return HopInfo{Cycle: cycle, Edge: edge, From: 0, To: 1, Seq: seq}
 	}
+	if audit := replay([]HopInfo{hop(1, 0), hop(2, 1)}, 2); audit.Err() != nil {
+		t.Fatalf("serial link use flagged: %v", audit.Err())
+	}
+	audit := replay([]HopInfo{hop(1, 0), hop(1, 1)}, 2)
 	if audit.Count() == 0 {
-		t.Fatal("audit saw no violations under the legacy scheduler")
+		t.Fatal("audit saw no violations for a link used twice in one cycle")
+	}
+	if v := audit.Violations()[0]; !strings.Contains(v, "moved two messages") {
+		t.Errorf("violation %q is not the per-link finding", v)
 	}
 }
 

@@ -24,37 +24,38 @@ package netsim
 // edges in ascending index order.
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"xtreesim/internal/graph"
 )
 
-// deliveryLess is the Phase-2 delivery order: a total order over distinct
-// messages (To, From, Kind, Payload, sentAt) applied with a stable sort so
-// true duplicates keep their deterministic arrival order.  Shared by the
-// single-process loop and the distsim coordinator.
-func deliveryLess(xe Event, xs int, ye Event, ys int) bool {
-	if xe.To != ye.To {
-		return xe.To < ye.To
+// compareDelivery is the Phase-2 delivery order: a total order over
+// distinct messages (To, From, Kind, Payload, sentAt) applied with a
+// stable sort so true duplicates keep their deterministic arrival order.
+// Shared by the single-process loop and the distsim coordinator.
+func compareDelivery(xe Event, xs int, ye Event, ys int) int {
+	if c := cmp.Compare(xe.To, ye.To); c != 0 {
+		return c
 	}
-	if xe.From != ye.From {
-		return xe.From < ye.From
+	if c := cmp.Compare(xe.From, ye.From); c != 0 {
+		return c
 	}
-	if xe.Kind != ye.Kind {
-		return xe.Kind < ye.Kind
+	if c := cmp.Compare(xe.Kind, ye.Kind); c != 0 {
+		return c
 	}
-	if xe.Payload != ye.Payload {
-		return xe.Payload < ye.Payload
+	if c := cmp.Compare(xe.Payload, ye.Payload); c != 0 {
+		return c
 	}
-	return xs < ys
+	return cmp.Compare(xs, ys)
 }
 
-// LessDelivery reports whether message x is delivered before message y in
-// the deterministic Phase-2 order (ties keep arrival order; callers must
-// use a stable sort).
-func LessDelivery(x, y WireMsg) bool {
-	return deliveryLess(x.Ev, x.SentAt, y.Ev, y.SentAt)
+// CompareDelivery orders message x against message y in the deterministic
+// Phase-2 delivery order (ties keep arrival order; callers must use a
+// stable sort such as slices.SortStableFunc).
+func CompareDelivery(x, y WireMsg) int {
+	return compareDelivery(x.Ev, x.SentAt, y.Ev, y.SentAt)
 }
 
 // CombineObservers folds a list of observers into one, dropping nils; it
@@ -195,9 +196,9 @@ type ShardConfig struct {
 	Owner []int32 // vertex -> owning shard
 	Self  int32
 	Parts int
-	// NextHop overrides Tables when non-nil (same contract as
-	// Config.NextHop); otherwise Tables must be the shared result of
-	// BuildNextHopTables.
+	// NextHop routes when non-nil (same contract as Config.NextHop);
+	// otherwise Tables must be the shared result of BuildNextHopTables.
+	// Routing picks between the two for a host.
 	NextHop func(cur, dst int32) int32
 	Tables  [][]int32
 	// Ranker must be shared across shards and the coordinator so edge
@@ -289,26 +290,22 @@ func NewShard(cfg ShardConfig) (*Shard, error) {
 		sh.ranker = NewEdgeRanker(cfg.Host)
 	}
 	if cfg.Faults != nil {
-		fs, err := newFaultState(cfg.Faults, cfg.Host)
+		fs, err := newFaultState(cfg.Faults, sh.ranker)
 		if err != nil {
 			return nil, err
 		}
 		sh.faults = fs // nil when inert
 	}
-	rank := 0
-	for u := 0; u < cfg.Host.N(); u++ {
-		deg := len(cfg.Host.Neighbors(u))
-		if cfg.Owner[u] == cfg.Self {
-			ns := sortedNeighbors(cfg.Host, u)
-			for _, v := range ns {
-				sh.slotOf[rank] = len(sh.edges)
-				sh.edges = append(sh.edges, rank)
-				sh.edgeFrom = append(sh.edgeFrom, int32(u))
-				sh.edgeTo = append(sh.edgeTo, v)
-				rank++
-			}
-		} else {
-			rank += deg
+	for u, ns := range sh.ranker.adj {
+		if cfg.Owner[u] != cfg.Self {
+			continue
+		}
+		for i, v := range ns {
+			rank := sh.ranker.base[u] + i
+			sh.slotOf[rank] = len(sh.edges)
+			sh.edges = append(sh.edges, rank)
+			sh.edgeFrom = append(sh.edgeFrom, int32(u))
+			sh.edgeTo = append(sh.edgeTo, v)
 		}
 	}
 	sh.queues = make([]linkQueue, len(sh.edges))
@@ -406,8 +403,7 @@ func (sh *Shard) replayKills(cycle int, rep *BeginReport) {
 			}
 			f.deadV[k.u] = true
 			for nbPos, nb := range sh.host.Neighbors(int(k.u)) {
-				f.deadE[ekey(k.u, nb)] = true
-				f.deadE[ekey(nb, k.u)] = true
+				f.killLink(k.u, nb)
 				sh.flushOwned(k.u, nb, cycle, idx, 2*nbPos, rep)
 				sh.flushOwned(nb, k.u, cycle, idx, 2*nbPos+1, rep)
 			}
@@ -424,11 +420,9 @@ func (sh *Shard) replayKills(cycle int, rep *BeginReport) {
 				}
 			}
 		} else {
-			if f.deadE[ekey(k.u, k.v)] {
+			if !f.killLink(k.u, k.v) {
 				continue // duplicate schedule entry
 			}
-			f.deadE[ekey(k.u, k.v)] = true
-			f.deadE[ekey(k.v, k.u)] = true
 			sh.flushOwned(k.u, k.v, cycle, idx, 0, rep)
 			sh.flushOwned(k.v, k.u, cycle, idx, 1, rep)
 		}
@@ -534,7 +528,7 @@ func (sh *Shard) Fire(cycle int, dec []HopDecision, ci CycleInfo) [][]Boundary {
 // queues drain and the report is assembled.
 func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 	pushes := append(sh.selfPend, incoming...)
-	sort.Slice(pushes, func(a, b int) bool { return pushes[a].SrcEdge < pushes[b].SrcEdge })
+	slices.SortFunc(pushes, func(x, y Boundary) int { return cmp.Compare(x.SrcEdge, y.SrcEdge) })
 	for k := range sh.pushSrc {
 		delete(sh.pushSrc, k)
 	}
@@ -591,7 +585,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 			sh.scratchVerts = append(sh.scratchVerts, v)
 		}
 	}
-	sort.Slice(sh.scratchVerts, func(a, b int) bool { return sh.scratchVerts[a] < sh.scratchVerts[b] })
+	slices.Sort(sh.scratchVerts)
 	for _, v := range sh.scratchVerts {
 		for _, m := range sh.local[v] {
 			rep.LocalArrivals = append(rep.LocalArrivals, LocalArrival{Vertex: v, Msg: toWire(m)})
@@ -599,7 +593,7 @@ func (sh *Shard) Apply(cycle int, incoming []Boundary) (FireReport, error) {
 		sh.queuedLocal -= len(sh.local[v])
 		sh.local[v] = sh.local[v][:0]
 	}
-	sort.SliceStable(rep.Losses, func(a, b int) bool { return rep.Losses[a].Edge < rep.Losses[b].Edge })
+	slices.SortStableFunc(rep.Losses, func(x, y LossRecord) int { return cmp.Compare(x.Edge, y.Edge) })
 	rep.MaxQueue = sh.maxQueue
 	rep.MaxLinkLoad = sh.maxLinkLoad
 	return rep, nil
@@ -670,21 +664,20 @@ type FiredKill struct {
 // retransmission policy knobs.  Shards replay the same schedule locally;
 // only the coordinator ever draws randomness.
 type FaultCoord struct {
-	fs    *faultState
-	hostG *graph.Graph
+	fs *faultState
 }
 
-// NewFaultCoord validates the plan and builds the coordinator replica, or
-// returns (nil, nil) for a nil/inert plan.
-func NewFaultCoord(p *FaultPlan, host *graph.Graph) (*FaultCoord, error) {
+// NewFaultCoord validates the plan against the ranker's host and builds
+// the coordinator replica, or returns (nil, nil) for a nil/inert plan.
+func NewFaultCoord(p *FaultPlan, ranks *EdgeRanker) (*FaultCoord, error) {
 	if p == nil {
 		return nil, nil
 	}
-	fs, err := newFaultState(p, host)
+	fs, err := newFaultState(p, ranks)
 	if err != nil || fs == nil {
 		return nil, err
 	}
-	return &FaultCoord{fs: fs, hostG: host}, nil
+	return &FaultCoord{fs: fs}, nil
 }
 
 // HasProbs reports whether the plan draws per-hop randomness at all.
@@ -724,17 +717,14 @@ func (f *FaultCoord) AdvanceKills(cycle int) []FiredKill {
 				continue
 			}
 			fs.deadV[k.u] = true
-			for _, nb := range f.hostG.Neighbors(int(k.u)) {
-				fs.deadE[ekey(k.u, nb)] = true
-				fs.deadE[ekey(nb, k.u)] = true
+			for _, nb := range fs.ranks.host.Neighbors(int(k.u)) {
+				fs.killLink(k.u, nb)
 			}
 			fired = append(fired, FiredKill{Index: idx, Info: KillInfo{Cycle: cycle, Vertex: true, U: k.u, V: k.u}})
 		} else {
-			if fs.deadE[ekey(k.u, k.v)] {
+			if !fs.killLink(k.u, k.v) {
 				continue
 			}
-			fs.deadE[ekey(k.u, k.v)] = true
-			fs.deadE[ekey(k.v, k.u)] = true
 			fired = append(fired, FiredKill{Index: idx, Info: KillInfo{Cycle: cycle, U: k.u, V: k.v}})
 		}
 		changed = true
@@ -782,8 +772,9 @@ func NewEdgeRanker(host *graph.Graph) *EdgeRanker {
 	for u := 0; u < n; u++ {
 		r.base[u] = rank
 		ns := host.Neighbors(u)
-		if !sort.SliceIsSorted(ns, func(a, b int) bool { return ns[a] < ns[b] }) {
-			ns = sortedNeighbors(host, u)
+		if !slices.IsSorted(ns) {
+			ns = slices.Clone(ns)
+			slices.Sort(ns)
 		}
 		r.adj[u] = ns
 		rank += len(ns)
@@ -799,9 +790,7 @@ func (r *EdgeRanker) Count() int { return r.m }
 // Rank returns the global rank of the directed edge u→v, or -1 when the
 // edge does not exist.
 func (r *EdgeRanker) Rank(u, v int32) int {
-	ns := r.adj[u]
-	i := sort.Search(len(ns), func(k int) bool { return ns[k] >= v })
-	if i < len(ns) && ns[i] == v {
+	if i, ok := slices.BinarySearch(r.adj[u], v); ok {
 		return r.base[u] + i
 	}
 	return -1
@@ -817,11 +806,4 @@ func (sh *Shard) Totals() (ownedLinks, ownedVertices, hops int) {
 		}
 	}
 	return len(sh.edges), ownedVertices, sh.hopsTotal
-}
-
-// sortedNeighbors returns an ascending copy of u's neighbor list.
-func sortedNeighbors(host *graph.Graph, u int) []int32 {
-	ns := append([]int32(nil), host.Neighbors(u)...)
-	sort.Slice(ns, func(a, b int) bool { return ns[a] < ns[b] })
-	return ns
 }

@@ -16,6 +16,7 @@ import (
 
 	"xtreesim/internal/bintree"
 	"xtreesim/internal/engine"
+	"xtreesim/internal/netsim"
 )
 
 // newTestServer builds a Server (not listening) with tight limits and
@@ -326,6 +327,32 @@ func TestSimulateWithBaselineAndFaults(t *testing.T) {
 	}
 	if sr2.Sim != sr.Sim {
 		t.Errorf("simulate not deterministic: %+v vs %+v", sr.Sim, sr2.Sim)
+	}
+}
+
+// TestSimulateBaselineBeyondTableCap: the ideal-tree baseline runs on the
+// guest tree, which routes without next-hop tables, so a guest over
+// netsim.MaxHostVertices still gets its slowdown instead of a 400.
+func TestSimulateBaselineBeyondTableCap(t *testing.T) {
+	const n = 5000
+	if n <= netsim.MaxHostVertices {
+		t.Fatalf("n=%d does not exceed the table cap %d", n, netsim.MaxHostVertices)
+	}
+	_, ts := newTestServer(t, Config{})
+	resp, data := postJSON(t, ts.URL+"/v1/simulate", SimulateRequest{
+		Tree:     &TreeSpec{Family: "random", N: n, Seed: Seed(3)},
+		Workload: WorkloadDivideConquer,
+		Baseline: true,
+	})
+	if resp.StatusCode != 200 {
+		t.Fatalf("status %d: %s", resp.StatusCode, data)
+	}
+	var sr SimulateResponse
+	if err := json.Unmarshal(data, &sr); err != nil {
+		t.Fatal(err)
+	}
+	if sr.IdealCycles <= 0 || sr.Slowdown < 1 {
+		t.Errorf("baseline: ideal=%d slowdown=%v, want ideal > 0 and slowdown >= 1", sr.IdealCycles, sr.Slowdown)
 	}
 }
 
