@@ -109,6 +109,8 @@ func smokeServePath() error {
 		"xtreesim_http_shed_total",
 		"xtreesim_engine_cache_misses_total",
 		`xtreesim_embed_dilation_count{host="xtree"} 1`,
+		`xtreesim_embed_max_load_bucket{host="xtree",le="16"} 1`,
+		`xtreesim_embed_max_load_count{host="xtree"} 1`,
 		`xtreesim_bound_violations_total{claim="thm1_dilation"} 0`,
 		`xtreesim_bound_violations_total{claim="thm1_load"} 0`,
 	} {

@@ -11,6 +11,7 @@ package bintree
 import (
 	"fmt"
 	"strings"
+	"sync/atomic"
 
 	"xtreesim/internal/graph"
 )
@@ -18,12 +19,17 @@ import (
 // None marks an absent parent or child.
 const None int32 = -1
 
-// Tree is a rooted binary tree over the nodes 0..N()-1.
+// Tree is a rooted binary tree over the nodes 0..N()-1.  A Tree is
+// immutable once constructed, so one value may be shared between
+// goroutines and requests; derived facts that depend only on the shape
+// (the canonical form) are computed once and kept with it.
 type Tree struct {
 	parent []int32
 	left   []int32
 	right  []int32
 	root   int32
+
+	canon atomic.Pointer[canonForm] // set once by CanonicalCode
 }
 
 // NewFromParents builds a tree from a parent vector (parent[root] = None).
@@ -81,8 +87,9 @@ func NewFromParents(parent []int32, childSide []byte) (*Tree, error) {
 func (t *Tree) validate() error {
 	n := t.N()
 	state := make([]byte, n) // 0 unseen, 1 on stack, 2 done
+	var chain []int32
 	for v := 0; v < n; v++ {
-		var chain []int32
+		chain = chain[:0]
 		u := int32(v)
 		for state[u] == 0 {
 			state[u] = 1

@@ -95,13 +95,46 @@ func (t *Tree) canonicalPlan() (first, second []int32) {
 	return first, second
 }
 
+// canonForm is the memoized canonical form of one tree.
+type canonForm struct {
+	code  string
+	order []int32
+	hash  uint64
+}
+
 // CanonicalCode returns the canonical nested-parenthesis encoding of the
 // tree and the canonical pre-order of its nodes.  Two trees have equal
 // codes exactly when they are isomorphic as unordered rooted trees (up to
 // the tie-break caveat above, which can only under-merge), and mapping
 // the i-th node of one canonical order to the i-th node of the other is
 // then an isomorphism.  The empty tree encodes as "." with a nil order.
+//
+// The form is computed on the first call and stored with the tree (a
+// Tree never changes after construction), so later calls — on any
+// goroutine — return the same code and the same order slice.  The
+// order is shared and must be treated as read-only.
 func (t *Tree) CanonicalCode() (string, []int32) {
+	c := t.canonical()
+	return c.code, c.order
+}
+
+// canonical returns the memoized canonical form, computing it on first
+// use.  Concurrent first calls may both compute it; both results are
+// identical, and the first one stored is the one every caller sees.
+func (t *Tree) canonical() *canonForm {
+	if c := t.canon.Load(); c != nil {
+		return c
+	}
+	code, order := t.computeCanonical()
+	c := &canonForm{code: code, order: order, hash: HashCode(code)}
+	if !t.canon.CompareAndSwap(nil, c) {
+		return t.canon.Load()
+	}
+	return c
+}
+
+// computeCanonical walks the tree once to build its canonical form.
+func (t *Tree) computeCanonical() (string, []int32) {
 	if t.N() == 0 {
 		return ".", nil
 	}
@@ -148,10 +181,7 @@ func (t *Tree) CanonicalCode() (string, []int32) {
 // hash collisions.  Callers that cannot tolerate collisions (the
 // engine's cache) key on the full code and use the hash only as a fast
 // first-pass discriminator.
-func (t *Tree) CanonicalHash() uint64 {
-	code, _ := t.CanonicalCode()
-	return HashCode(code)
-}
+func (t *Tree) CanonicalHash() uint64 { return t.canonical().hash }
 
 // HashCode returns CanonicalHash for an already-computed canonical code,
 // so callers holding the code string (the engine, which needs the code

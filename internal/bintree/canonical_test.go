@@ -2,6 +2,7 @@ package bintree
 
 import (
 	"math/rand"
+	"sync"
 	"testing"
 )
 
@@ -136,5 +137,44 @@ func TestCanonicalEmptyAndSingle(t *testing.T) {
 	single := Path(1)
 	if code, _ := single.CanonicalCode(); code != "(..)" {
 		t.Errorf("single node: code %q", code)
+	}
+}
+
+// TestCanonicalCodeMemoConcurrent: concurrent first calls on one tree
+// agree with each other and with a fresh computation on an equal tree,
+// and every later call returns the stored form (same order slice).
+// Run under -race it also checks the memo is published safely.
+func TestCanonicalCodeMemoConcurrent(t *testing.T) {
+	tr := RandomBSTShape(700, rand.New(rand.NewSource(9)))
+	fresh, err := Decode(tr.Encode())
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantCode, _ := fresh.CanonicalCode()
+	const g = 8
+	codes := make([]string, g)
+	orders := make([][]int32, g)
+	hashes := make([]uint64, g)
+	var wg sync.WaitGroup
+	for i := 0; i < g; i++ {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			codes[i], orders[i] = tr.CanonicalCode()
+			hashes[i] = tr.CanonicalHash()
+		}(i)
+	}
+	wg.Wait()
+	code, order := tr.CanonicalCode()
+	for i := 0; i < g; i++ {
+		if codes[i] != wantCode || hashes[i] != HashCode(wantCode) {
+			t.Fatalf("goroutine %d: code or hash differs from a fresh computation", i)
+		}
+		if &orders[i][0] != &order[0] {
+			t.Fatalf("goroutine %d: order is not the stored slice", i)
+		}
+	}
+	if code != wantCode {
+		t.Fatal("stored code differs from a fresh computation")
 	}
 }

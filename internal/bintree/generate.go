@@ -30,6 +30,10 @@ var Families = []Family{
 	FamilyCaterpillar, FamilyBroom, FamilyZigzag,
 }
 
+// Randomized reports whether the family draws from an rng: the shape of
+// every other family is a function of n alone.
+func (f Family) Randomized() bool { return f == FamilyRandom || f == FamilyBST }
+
 // Generate builds an n-node tree of the given family.  rng is only used by
 // the randomized families and may be nil for the deterministic ones.
 func Generate(f Family, n int, rng *rand.Rand) (*Tree, error) {

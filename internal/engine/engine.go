@@ -165,15 +165,29 @@ func (c Config) normalize() Config {
 // marks results remapped from the canonical-tree cache; Coalesced marks
 // results remapped from a concurrent leader's compute (a singleflight
 // wait, not a cache lookup).
+//
+// Dilation and AvgDilation are Result's measured dilation and average
+// dilation.  They are measured once, when the embedding is computed or
+// warmed from a snapshot, and kept with the cache entry; a hit or a
+// coalesced item inherits them, because remapping onto an isomorphic
+// guest preserves the host distance of every guest edge.
 type BatchItem struct {
-	Index     int
-	Tree      *bintree.Tree
-	Result    *core.Result
-	Injective *core.InjectiveResult
-	Hypercube *core.HypercubeResult
-	CacheHit  bool
-	Coalesced bool
-	Err       error
+	Index       int
+	Tree        *bintree.Tree
+	Result      *core.Result
+	Dilation    int
+	AvgDilation float64
+	Injective   *core.InjectiveResult
+	Hypercube   *core.HypercubeResult
+	CacheHit    bool
+	Coalesced   bool
+	Err         error
+}
+
+// answer sets the item's Theorem 1 result, res being ent's result or its
+// remap onto the item's tree, and the metrics measured for ent.
+func (item *BatchItem) answer(res *core.Result, ent *cacheEntry) {
+	item.Result, item.Dilation, item.AvgDilation = res, ent.dilation, ent.avgDilation
 }
 
 // Stats is a point-in-time snapshot of the engine counters.
@@ -526,7 +540,7 @@ func (e *Engine) process(jb job) BatchItem {
 	if keyed {
 		encStart := time.Now()
 		code, order = jb.tree.CanonicalCode()
-		hash = bintree.HashCode(code)
+		hash = jb.tree.CanonicalHash()
 		parent.Record("engine.canonical-encode", encStart, time.Now(),
 			trace.Int("n", int64(jb.tree.N())))
 	}
@@ -537,7 +551,7 @@ func (e *Engine) process(jb job) BatchItem {
 			trace.Int("hit", b2i(ok)))
 		if ok {
 			e.hits.Add(1)
-			item.Result = remap(jb.tree, order, ent)
+			item.answer(remap(jb.tree, order, ent), ent)
 			item.CacheHit = true
 			return e.derive(jb.ctx, item)
 		}
@@ -551,7 +565,7 @@ func (e *Engine) process(jb job) BatchItem {
 			item.Err = err
 			return item
 		}
-		item.Result = ent.res
+		item.answer(ent.res, ent)
 		return e.derive(jb.ctx, item)
 	}
 	fl, leader := e.flights.lead(code)
@@ -569,7 +583,7 @@ func (e *Engine) process(jb job) BatchItem {
 			item.Err = fl.err
 			return item
 		}
-		item.Result = remap(jb.tree, order, fl.ent)
+		item.answer(remap(jb.tree, order, fl.ent), fl.ent)
 		item.Coalesced = true
 		return e.derive(jb.ctx, item)
 	}
@@ -579,7 +593,7 @@ func (e *Engine) process(jb job) BatchItem {
 		if ent, ok := e.cache.get(hash, code); ok {
 			e.flights.finish(code, fl, ent, nil)
 			e.hits.Add(1)
-			item.Result = remap(jb.tree, order, ent)
+			item.answer(remap(jb.tree, order, ent), ent)
 			item.CacheHit = true
 			return e.derive(jb.ctx, item)
 		}
@@ -594,13 +608,14 @@ func (e *Engine) process(jb job) BatchItem {
 		item.Err = err
 		return item
 	}
-	item.Result = ent.res
+	item.answer(ent.res, ent)
 	return e.derive(jb.ctx, item)
 }
 
-// compute runs the embedder and publishes the produced entry to the
-// cache.  order is the guest's own canonical pre-order, so ent.res pairs
-// with it for later remapping onto isomorphic trees.
+// compute runs the embedder, measures the result, and publishes the
+// produced entry to the cache.  order is the guest's own canonical
+// pre-order, so ent.res pairs with it for later remapping onto isomorphic
+// trees.
 func (e *Engine) compute(ctx context.Context, t *bintree.Tree, code string, hash uint64, order []int32) (*cacheEntry, error) {
 	parent := trace.FromContext(ctx)
 	start := time.Now()
@@ -611,7 +626,7 @@ func (e *Engine) compute(ctx context.Context, t *bintree.Tree, code string, hash
 	if err != nil {
 		return nil, err
 	}
-	ent := &cacheEntry{res: res, order: order}
+	ent := newCacheEntry(res, order)
 	if e.cache != nil {
 		e.cache.put(hash, code, ent)
 	}

@@ -35,10 +35,20 @@ import (
 // cacheEntry memoizes one embedding: the Theorem 1 result computed for
 // some guest together with that guest's canonical pre-order, which is
 // everything needed to transfer the assignment onto any isomorphic
-// newcomer (see remap in engine.go).
+// newcomer (see remap in engine.go), and the result's measured dilation
+// and average dilation, which every such transfer shares.
 type cacheEntry struct {
-	res   *core.Result
-	order []int32
+	res         *core.Result
+	order       []int32
+	dilation    int
+	avgDilation float64
+}
+
+// newCacheEntry measures res in one walk over its guest edges and
+// returns its entry.
+func newCacheEntry(res *core.Result, order []int32) *cacheEntry {
+	dil, avg := res.Embedding().EdgeStats()
+	return &cacheEntry{res: res, order: order, dilation: dil, avgDilation: avg}
 }
 
 // ShardStat is a point-in-time snapshot of one cache shard, surfaced by

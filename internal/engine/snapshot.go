@@ -35,7 +35,6 @@ import (
 	"io"
 	"strings"
 
-	"xtreesim/internal/bintree"
 	"xtreesim/internal/core"
 )
 
@@ -180,6 +179,6 @@ func (e *Engine) warmRecord(code, body string) bool {
 	if e.opts.Height > 0 && res.Host.Height() != e.opts.Height {
 		return false
 	}
-	e.cache.put(bintree.HashCode(code), code, &cacheEntry{res: res, order: order})
+	e.cache.put(res.Guest.CanonicalHash(), code, newCacheEntry(res, order))
 	return true
 }

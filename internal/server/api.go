@@ -94,7 +94,10 @@ func deriveSeed() int64 {
 }
 
 // resolve turns the spec into a tree, enforcing the server's node cap.
-func (ts *TreeSpec) resolve(maxNodes int) (*bintree.Tree, error) {
+// A deterministic family spec — an explicit seed, or a family that draws
+// no random numbers — is answered from memo when it holds the tree and
+// stored there otherwise; omitted-seed and encoded specs bypass it.
+func (ts *TreeSpec) resolve(maxNodes int, memo *specMemo) (*bintree.Tree, error) {
 	switch {
 	case ts.Encoded != "" && ts.Family != "":
 		return nil, badRequest("tree: set either encoded or family, not both")
@@ -121,18 +124,38 @@ func (ts *TreeSpec) resolve(maxNodes int) (*bintree.Tree, error) {
 		if !ok {
 			return nil, badRequest("tree: unknown family %q (have %v)", ts.Family, bintree.Families)
 		}
-		seed := ts.Seed
-		if seed == nil {
-			seed = Seed(deriveSeed())
+		key := specKey{family: fam, n: ts.N}
+		if fam.Randomized() {
+			if ts.Seed == nil {
+				return generate(fam, ts.N, deriveSeed())
+			}
+			key.seed = *ts.Seed
 		}
-		t, err := bintree.Generate(fam, ts.N, rand.New(rand.NewSource(*seed)))
+		if t := memo.get(key); t != nil {
+			return t, nil
+		}
+		t, err := generate(fam, ts.N, key.seed)
 		if err != nil {
-			return nil, badRequest("tree: %v", err)
+			return nil, err
 		}
-		return t, nil
+		return memo.put(key, t), nil
 	default:
 		return nil, badRequest("tree: one of encoded or family is required")
 	}
+}
+
+// generate builds an n-node tree of the family; seed feeds the rng of
+// the randomized families and is ignored by the others.
+func generate(fam bintree.Family, n int, seed int64) (*bintree.Tree, error) {
+	var rng *rand.Rand
+	if fam.Randomized() {
+		rng = rand.New(rand.NewSource(seed))
+	}
+	t, err := bintree.Generate(fam, n, rng)
+	if err != nil {
+		return nil, badRequest("tree: %v", err)
+	}
+	return t, nil
 }
 
 func familyByName(name string) (bintree.Family, bool) {

@@ -74,7 +74,7 @@ func (s *Server) handleEmbed(w http.ResponseWriter, r *http.Request) {
 	// whole request with a 4xx instead of burning engine time first.
 	trees := make([]*bintree.Tree, len(specs))
 	for i := range specs {
-		t, err := specs[i].resolve(s.maxTreeNodes)
+		t, err := specs[i].resolve(s.maxTreeNodes, s.specs)
 		if err != nil {
 			writeAPIError(w, err)
 			return
@@ -130,18 +130,25 @@ func (s *Server) embedTrees(ctx context.Context, req *EmbedRequest, trees []*bin
 		if err := ctx.Err(); err != nil {
 			return nil, ctxError(err)
 		}
-		res, err := core.EmbedXTreeContext(ctx, t, opts)
-		items[i] = s.embedItem(ctx, req, engine.BatchItem{Index: i, Tree: t, Result: res, Err: err})
+		bi := engine.BatchItem{Index: i, Tree: t}
+		bi.Result, bi.Err = core.EmbedXTreeContext(ctx, t, opts)
+		if bi.Err == nil {
+			bi.Dilation, bi.AvgDilation = bi.Result.Embedding().EdgeStats()
+		}
+		items[i] = s.embedItem(ctx, req, bi)
 	}
 	return items, nil
 }
 
 // embedItem shapes one engine outcome into the wire item.  The derived
 // embeddings (hypercube χ, injective relocation) record phase spans
-// under the context's request span.  Every item's metrics are measured
-// afresh from its assignment, cache hit or not, so a cache can never
-// change what is reported.  cache_hit means the item ran no compute of
-// its own: it was remapped from the cache or from a concurrent identical
+// under the context's request span.  The Theorem 1 item reports the
+// dilation and average dilation the engine measured when it computed
+// (or warmed) the embedding: a hit is an isomorphic remap of that
+// embedding, so its numbers are the same, and a cache cannot change
+// what is reported.  The derived embeddings are built per request and
+// are measured here.  cache_hit means the item ran no compute of its
+// own: it was remapped from the cache or from a concurrent identical
 // compute (coalesced), which on a multi-core engine is a scheduling
 // accident, not a different answer.
 func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.BatchItem) EmbedItem {
@@ -151,30 +158,37 @@ func (s *Server) embedItem(ctx context.Context, req *EmbedRequest, bi engine.Bat
 	res := bi.Result
 	if req.hostName() == HostHypercube {
 		hr := core.EmbedHypercubeContext(ctx, res)
-		emb := hr.Embedding()
-		item := measuredItem(bi.Index, HostHypercube, hr.Host.Dim(), emb, emb.MaxLoad())
+		item := measuredItem(bi.Index, HostHypercube, hr.Host.Dim(), hr.Embedding())
 		item.CacheHit = bi.CacheHit || bi.Coalesced
 		return item
 	}
-	item := measuredItem(bi.Index, HostXTree, res.Host.Height(), res.Embedding(), res.MaxLoad())
-	item.CacheHit = bi.CacheHit || bi.Coalesced
+	item := EmbedItem{
+		Index:        bi.Index,
+		N:            res.Guest.N(),
+		Host:         HostXTree,
+		HostVertices: res.Host.NumVertices(),
+		Height:       res.Host.Height(),
+		Dilation:     bi.Dilation,
+		AvgDilation:  bi.AvgDilation,
+		MaxLoad:      res.MaxLoad(),
+		Expansion:    res.Expansion(),
+		CacheHit:     bi.CacheHit || bi.Coalesced,
+	}
 	if req.Injective {
 		inj, err := core.EmbedInjectiveContext(ctx, res)
 		if err != nil {
 			item.Error = err.Error()
 			return item
 		}
-		iemb := inj.Embedding()
-		injItem := measuredItem(bi.Index, HostXTree, inj.Host.Height(), iemb, iemb.MaxLoad())
+		injItem := measuredItem(bi.Index, HostXTree, inj.Host.Height(), inj.Embedding())
 		item.Injective = &injItem
 	}
 	return item
 }
 
-// measuredItem reports one embedding: dilation and average dilation from
-// a single walk over the guest edges, plus the caller's load figure (the
-// Theorem 1 result carries its own; derived embeddings count theirs).
-func measuredItem(index int, host string, height int, emb *metrics.Embedding, maxLoad int) EmbedItem {
+// measuredItem reports one derived embedding: dilation and average
+// dilation from a single walk over the guest edges, plus its load.
+func measuredItem(index int, host string, height int, emb *metrics.Embedding) EmbedItem {
 	dil, avg := emb.EdgeStats()
 	return EmbedItem{
 		Index:        index,
@@ -184,7 +198,7 @@ func measuredItem(index int, host string, height int, emb *metrics.Embedding, ma
 		Height:       height,
 		Dilation:     dil,
 		AvgDilation:  avg,
-		MaxLoad:      maxLoad,
+		MaxLoad:      emb.MaxLoad(),
 		Expansion:    emb.Expansion(),
 	}
 }
@@ -236,7 +250,7 @@ func (s *Server) handleSimulate(w http.ResponseWriter, r *http.Request) {
 		writeAPIError(w, err)
 		return
 	}
-	tree, err := req.Tree.resolve(s.maxTreeNodes)
+	tree, err := req.Tree.resolve(s.maxTreeNodes, s.specs)
 	if err != nil {
 		writeAPIError(w, err)
 		return

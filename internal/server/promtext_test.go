@@ -90,8 +90,8 @@ func TestWriteHistogramOrdering(t *testing.T) {
 
 // TestBoundViolationCounter feeds one crafted item that breaks Theorem 1's
 // dilation bound, next to conforming x-tree and hypercube items, and
-// reads the counters and the per-host dilation histogram back from
-// /metrics: exactly the thm1_dilation series moves.
+// reads the counters and the per-host dilation and max-load histograms
+// back from /metrics: exactly the thm1_dilation series moves.
 func TestBoundViolationCounter(t *testing.T) {
 	s, ts := newTestServer(t, Config{})
 	s.embeds.observe(EmbedItem{Host: HostXTree, Dilation: 4, MaxLoad: 16})
@@ -119,6 +119,12 @@ func TestBoundViolationCounter(t *testing.T) {
 		`xtreesim_embed_dilation_count{host="xtree"} 2`,
 		`xtreesim_embed_dilation_bucket{host="hypercube",le="4"} 1`,
 		`xtreesim_embed_dilation_count{host="hypercube"} 1`,
+		`xtreesim_embed_max_load_bucket{host="xtree",le="15"} 0`,
+		`xtreesim_embed_max_load_bucket{host="xtree",le="16"} 2`,
+		`xtreesim_embed_max_load_bucket{host="xtree",le="+Inf"} 2`,
+		`xtreesim_embed_max_load_sum{host="xtree"} 32`,
+		`xtreesim_embed_max_load_count{host="xtree"} 2`,
+		`xtreesim_embed_max_load_count{host="hypercube"} 1`,
 	} {
 		if !strings.Contains(text, want) {
 			t.Errorf("metrics missing %q", want)

@@ -33,11 +33,11 @@ func TestTreeSpecSeedPresence(t *testing.T) {
 func TestResolveExplicitSeedDeterministic(t *testing.T) {
 	for _, seed := range []int64{0, 1, 42} {
 		spec := TreeSpec{Family: "random", N: 300, Seed: Seed(seed)}
-		a, err := spec.resolve(10000)
+		a, err := spec.resolve(10000, newSpecMemo())
 		if err != nil {
 			t.Fatal(err)
 		}
-		b, err := spec.resolve(10000)
+		b, err := spec.resolve(10000, newSpecMemo())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -55,7 +55,7 @@ func TestResolveOmittedSeedVaries(t *testing.T) {
 	const draws = 4
 	encodings := map[string]bool{}
 	for i := 0; i < draws; i++ {
-		tr, err := spec.resolve(10000)
+		tr, err := spec.resolve(10000, newSpecMemo())
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -66,7 +66,7 @@ func TestResolveOmittedSeedVaries(t *testing.T) {
 			draws, len(encodings))
 	}
 	// And none of them may silently alias the explicit zero seed.
-	zero, err := (&TreeSpec{Family: "random", N: 300, Seed: Seed(0)}).resolve(10000)
+	zero, err := (&TreeSpec{Family: "random", N: 300, Seed: Seed(0)}).resolve(10000, newSpecMemo())
 	if err != nil {
 		t.Fatal(err)
 	}

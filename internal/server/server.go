@@ -164,6 +164,7 @@ type Server struct {
 	metrics      *serverMetrics
 	dist         *distMetrics
 	embeds       *embedMetrics
+	specs        *specMemo
 	logger       *log.Logger
 	accessLog    bool
 	version      string
@@ -227,6 +228,7 @@ func New(cfg Config) *Server {
 		metrics:           newServerMetrics(),
 		dist:              newDistMetrics(),
 		embeds:            newEmbedMetrics(),
+		specs:             newSpecMemo(),
 		logger:            logger,
 		accessLog:         cfg.AccessLog,
 		version:           version,

@@ -590,6 +590,8 @@ func TestMetricsEndpoint(t *testing.T) {
 		"xtreesim_session_streams_active 0",
 		"xtreesim_telemetry_dropped_total 0",
 		`xtreesim_embed_dilation_count{host="xtree"} 2`,
+		`xtreesim_embed_max_load_bucket{host="xtree",le="16"} 2`,
+		`xtreesim_embed_max_load_count{host="xtree"} 2`,
 		`xtreesim_bound_violations_total{claim="thm1_dilation"} 0`,
 		`xtreesim_bound_violations_total{claim="thm1_load"} 0`,
 	} {

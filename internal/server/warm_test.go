@@ -49,12 +49,13 @@ func TestWarmHitReportsColdMetrics(t *testing.T) {
 
 // warmEmbedAllocBudget caps the allocations of one warm n=1008 x-tree
 // /v1/embed through the full handler stack (middleware, decode, spec
-// resolve, canonical encode, cache remap, metric walk, encode).  The
-// map-based breadth-first distance oracle spent ~8300 allocations here,
-// two metric walks' worth; the closed form and the single EdgeStats walk
-// bring it to ~1100.  The budget sits well below the old figure so a
-// return of per-edge allocation fails loudly.
-const warmEmbedAllocBudget = 1500
+// resolve, canonical encode, cache remap, encode).  A warm request
+// reuses the memoized tree and its canonical form and reports the
+// metrics stored with the cache entry, so it does no per-node
+// allocation: ~50 allocations, against ~1100 when every request
+// generated, canonicalized and measured its tree again.  A return of
+// per-node or per-edge work fails this loudly.
+const warmEmbedAllocBudget = 150
 
 // TestWarmEmbedAllocBudget holds the warm-request gain with an exact
 // allocation count (testing.AllocsPerRun, no timer noise).
